@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short race race-repartition lifecycle-smoke bench bench-smoke bench-json bench-guard fuzz-smoke scenario-smoke scenario-guard fmt fmt-check vet lint-doc lint-invariants ci
+.PHONY: build test test-short race race-repartition lifecycle-smoke serve-smoke bench bench-smoke bench-json bench-guard fuzz-smoke scenario-smoke scenario-guard fmt fmt-check vet lint-doc lint-invariants ci
 
 build:
 	$(GO) build ./...
@@ -38,6 +38,13 @@ race-repartition:
 # job.
 lifecycle-smoke:
 	$(GO) run ./cmd/elasticrec -short lifecycle
+
+# Serving-benchmark smoke: servebench (its own module, outside ./...) runs
+# every workload briefly and checks its oracle and metric set. It is the
+# only program that deploys and undeploys over the admin API during live
+# traffic. About 30 s.
+serve-smoke:
+	cd servebench && $(GO) test .
 
 # One iteration of the micro-kernel and concurrent-serving benches — a CI
 # smoke test that the harness still runs, with output kept as an artifact.
@@ -122,4 +129,4 @@ lint-doc:
 lint-invariants:
 	$(GO) run ./cmd/invariantcheck ./internal/... ./cmd/...
 
-ci: fmt-check vet lint-doc lint-invariants build test-short race race-repartition lifecycle-smoke bench-smoke fuzz-smoke
+ci: fmt-check vet lint-doc lint-invariants build test-short race race-repartition lifecycle-smoke serve-smoke bench-smoke fuzz-smoke

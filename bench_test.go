@@ -13,9 +13,7 @@
 package repro_test
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -594,16 +592,16 @@ func BenchmarkServing_ConcurrentPredict(b *testing.B) {
 }
 
 // concurrentPredictTCPFixture builds a wire-bound deployment behind
-// loopback TCP with the given gather codec, exports the predict frontend
-// over the same codec, and returns a dialed network client. The geometry
-// isolates the transport: RM1's batch/pooling (32x128 indices per table,
-// 64-wide embeddings) keeps the payloads realistic while tiny MLPs keep
-// dense compute off the critical path, and the deployment is unbatched so
-// each predict fans out 12 gather RPCs (4 tables x 3 shards). opts
-// layers gather-path options (GatherRows, RowCacheBytes, WireFP16) on
-// top of the transport, which the fixture pins to TCP+codec itself; the
-// returned deployment exposes BuildCounters for cache-metric reporting.
-func concurrentPredictTCPFixture(b *testing.B, codec serving.WireCodec, opts serving.BuildOptions) (serving.PredictClient, []*serving.PredictRequest, *serving.LiveDeployment, func()) {
+// loopback TCP, exports the predict frontend on its own listener, and
+// returns a dialed network client. The geometry isolates the transport:
+// RM1's batch/pooling (32x128 indices per table, 64-wide embeddings)
+// keeps the payloads realistic while tiny MLPs keep dense compute off the
+// critical path, and the deployment is unbatched so each predict fans out
+// 12 gather RPCs (4 tables x 3 shards). opts layers gather-path options
+// (RowCacheBytes) on top of the transport, which the fixture pins to TCP
+// itself; the returned deployment exposes BuildCounters for cache-metric
+// reporting.
+func concurrentPredictTCPFixture(b *testing.B, opts serving.BuildOptions) (serving.PredictClient, []*serving.PredictRequest, *serving.LiveDeployment, func()) {
 	b.Helper()
 	cfg := model.Config{
 		Name:          "wire-bench",
@@ -640,7 +638,6 @@ func concurrentPredictTCPFixture(b *testing.B, codec serving.WireCodec, opts ser
 		b.Fatal(err)
 	}
 	opts.Transport = serving.TransportTCP
-	opts.WireCodec = codec
 	ld, err := serving.BuildElastic(m, stats, []int64{5_000, 20_000, cfg.RowsPerTable}, opts)
 	if err != nil {
 		b.Fatal(err)
@@ -650,22 +647,10 @@ func concurrentPredictTCPFixture(b *testing.B, codec serving.WireCodec, opts ser
 		ld.Close()
 		b.Fatal(err)
 	}
-	var client serving.PredictClient
-	var closeClient func() error
-	if codec == serving.WireGob {
-		c, err := serving.DialPredictGob(addr, "WireBench")
-		if err != nil {
-			ld.Close()
-			b.Fatal(err)
-		}
-		client, closeClient = c, c.Close
-	} else {
-		c, err := serving.DialPredict(addr, "WireBench")
-		if err != nil {
-			ld.Close()
-			b.Fatal(err)
-		}
-		client, closeClient = c, c.Close
+	client, err := serving.DialPredict(addr, "WireBench")
+	if err != nil {
+		ld.Close()
+		b.Fatal(err)
 	}
 	rng := workload.NewRNG(77)
 	reqs := make([]*serving.PredictRequest, 32)
@@ -685,30 +670,14 @@ func concurrentPredictTCPFixture(b *testing.B, codec serving.WireCodec, opts ser
 		reqs[i] = req
 	}
 	return client, reqs, ld, func() {
-		_ = closeClient()
+		_ = client.Close()
 		ld.Close()
-	}
-}
-
-// BenchmarkServing_ConcurrentPredictWire is the transport shoot-out: the
-// identical deployment and workload served over loopback TCP with gob vs
-// binary framed shard+frontend wiring, 8 closed-loop clients each.
-// Compare the qps metric between the two rows — the binary codec's
-// no-reflection encode/decode and pipelined connections are the entire
-// difference.
-func BenchmarkServing_ConcurrentPredictWire(b *testing.B) {
-	for _, codec := range []serving.WireCodec{serving.WireGob, serving.WireBinary} {
-		client, reqs, _, cleanup := concurrentPredictTCPFixture(b, codec, serving.BuildOptions{})
-		b.Run("tcp/wire="+string(codec)+"/clients=8", func(b *testing.B) {
-			runClosedLoopPredict(b, client, reqs, 8)
-		})
-		cleanup()
 	}
 }
 
 // BenchmarkServing_HotRowCache is the gather-path-v2 shoot-out on the
 // identical TCP deployment and Zipf-skewed workload: the v1 pooled
-// fan-out, the v2 dedup rows fan-out, and v2 with the frontend hot-row
+// fan-out against v2 (dedup rows fan-out) with the frontend hot-row
 // cache. Compare the qps metric across rows — dedup shrinks every
 // gather's index payload, and at this locality most deduped rows then
 // resolve in the frontend cache without touching the wire at all. The
@@ -719,10 +688,9 @@ func BenchmarkServing_HotRowCache(b *testing.B) {
 		opts serving.BuildOptions
 	}{
 		{"tcp/path=v1", serving.BuildOptions{}},
-		{"tcp/path=rows", serving.BuildOptions{GatherRows: true}},
 		{"tcp/path=rows+cache", serving.BuildOptions{RowCacheBytes: 32 << 20}},
 	} {
-		client, reqs, ld, cleanup := concurrentPredictTCPFixture(b, serving.WireBinary, sub.opts)
+		client, reqs, ld, cleanup := concurrentPredictTCPFixture(b, sub.opts)
 		b.Run(sub.name+"/clients=8", func(b *testing.B) {
 			runClosedLoopPredict(b, client, reqs, 8)
 			if bc := ld.BuildCounters(); bc.RowCacheHits+bc.RowCacheMisses > 0 {
@@ -762,79 +730,29 @@ func wireBenchMessages() (*wire.GatherReply, *wire.PredictRequest) {
 	return rep, req
 }
 
-// BenchmarkWire_Codec compares one encode+decode round trip per op under
-// the two codecs, message by message. The gob rows use a persistent
-// encoder/decoder pair over one buffer — exactly net/rpc's steady state,
-// so gob's one-time type descriptors are excluded. wire-bytes/op is the
-// encoded frame size.
+// BenchmarkWire_Codec measures one encode+decode round trip per op,
+// message by message. wire-bytes/op is the encoded frame size. Each row
+// runs codecWarmup untimed round trips first, so its 20x guard sample
+// measures the steady-state codec rather than whatever heap and cache
+// state the previous benchmark left behind.
 func BenchmarkWire_Codec(b *testing.B) {
 	rep, req := wireBenchMessages()
-	b.Run("gather-reply/gob", func(b *testing.B) {
-		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf)
-		dec := gob.NewDecoder(&buf)
-		var n int
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := enc.Encode(rep); err != nil {
-				b.Fatal(err)
-			}
-			n = buf.Len()
-			var got wire.GatherReply
-			if err := dec.Decode(&got); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(n), "wire-bytes/op")
-	})
 	b.Run("gather-reply/binary", func(b *testing.B) {
 		var buf []byte
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buf = wire.AppendGatherReply(buf[:0], rep, false)
+		roundTrip := func() {
+			buf = wire.AppendGatherReply(buf[:0], rep)
 			var got wire.GatherReply
 			if err := wire.DecodeGatherReply(buf, &got); err != nil {
 				b.Fatal(err)
 			}
 			wire.FreeGatherReply(&got)
 		}
+		runCodecBench(b, roundTrip)
 		b.ReportMetric(float64(len(buf)), "wire-bytes/op")
-	})
-	b.Run("gather-reply/binary-quant", func(b *testing.B) {
-		var buf []byte
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buf = wire.AppendGatherReply(buf[:0], rep, true)
-			var got wire.GatherReply
-			if err := wire.DecodeGatherReply(buf, &got); err != nil {
-				b.Fatal(err)
-			}
-			wire.FreeGatherReply(&got)
-		}
-		b.ReportMetric(float64(len(buf)), "wire-bytes/op")
-	})
-	b.Run("predict-request/gob", func(b *testing.B) {
-		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf)
-		dec := gob.NewDecoder(&buf)
-		var n int
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := enc.Encode(req); err != nil {
-				b.Fatal(err)
-			}
-			n = buf.Len()
-			var got wire.PredictRequest
-			if err := dec.Decode(&got); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(n), "wire-bytes/op")
 	})
 	b.Run("predict-request/binary", func(b *testing.B) {
 		var buf []byte
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
+		roundTrip := func() {
 			buf = wire.AppendPredictRequest(buf[:0], req)
 			var got wire.PredictRequest
 			if err := wire.DecodePredictRequest(buf, &got); err != nil {
@@ -842,8 +760,24 @@ func BenchmarkWire_Codec(b *testing.B) {
 			}
 			wire.FreePredictRequest(&got)
 		}
+		runCodecBench(b, roundTrip)
 		b.ReportMetric(float64(len(buf)), "wire-bytes/op")
 	})
+}
+
+// codecWarmup is the number of untimed round trips before a codec row.
+const codecWarmup = 256
+
+// runCodecBench warms roundTrip up, then times b.N calls of it.
+func runCodecBench(b *testing.B, roundTrip func()) {
+	for i := 0; i < codecWarmup; i++ {
+		roundTrip()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		roundTrip()
+	}
 }
 
 // multiModelBenchFixture builds a two-variant multi-model deployment plus

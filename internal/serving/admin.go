@@ -1,32 +1,39 @@
 package serving
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
+	"errors"
 	"fmt"
-	"net/rpc"
 
 	"repro/internal/embedding"
 	"repro/internal/model"
+	"repro/internal/serving/wire"
 )
 
 // This file is the wire form of the control plane: the Controller's
-// lifecycle API (Deploy / Undeploy / Status) exposed as a versioned net/rpc
-// admin service on the same frontend endpoint that serves Predict traffic.
-// Every request carries AdminAPIVersion; a frontend refuses a request from
-// a different control-plane generation instead of misinterpreting it, so
-// admin tooling and servers can roll independently. A Deploy request does
-// not ship model weights — it ships the variant's spec (architecture
-// config + parameter seed + profiling-window counts), and the frontend
-// instantiates the model locally, exactly how every other layer of this
-// repository materializes variants.
+// lifecycle API (Deploy / Undeploy / Status) exposed as a versioned admin
+// call service on the same frontend listener that serves Predict traffic.
+// Each admin call is one wire call frame: a method byte followed by the
+// gob-encoded Admin*Request; the reply frame carries the gob-encoded
+// Admin*Reply. Gob is only the payload encoding here — it round-trips
+// model.Config, BuildOptions and ModelStatus as they are, non-finite
+// floats included. Every request carries AdminAPIVersion; a frontend
+// refuses a request from a different control-plane generation instead of
+// misinterpreting it, so admin tooling and servers can roll
+// independently. A Deploy request does not ship model weights — it ships
+// the variant's spec (architecture config + parameter seed +
+// profiling-window counts), and the frontend instantiates the model
+// locally, exactly how every other layer of this repository materializes
+// variants.
 
 // AdminAPIVersion is the control-plane wire version. Bump it when a
 // request/reply shape changes incompatibly; servers reject mismatches.
 const AdminAPIVersion = 1
 
 // AdminServiceName returns the admin service name exported alongside a
-// predict frontend registered under frontend (net/rpc service names cannot
-// be dotted, so the suffix is appended directly).
+// predict frontend registered under frontend.
 func AdminServiceName(frontend string) string { return frontend + "Admin" }
 
 // AdminDeployRequest asks a frontend to build and publish a new variant.
@@ -95,14 +102,58 @@ func checkAdminVersion(got int) error {
 	return nil
 }
 
-// adminRPC adapts a Controller to net/rpc's method signature (deadlines
-// ride the requests, same contract as the predict/gather services).
-type adminRPC struct{ ctrl *Controller }
+// Admin call methods: the first byte of every admin call payload.
+const (
+	adminDeploy byte = iota + 1
+	adminUndeploy
+	adminStatus
+)
 
-// Deploy is the exported RPC method: it reconstructs the variant from its
-// spec (model weights from Config+Seed, profiling window from Counts) and
-// publishes it into the running frontend.
-func (a *adminRPC) Deploy(req *AdminDeployRequest, reply *AdminDeployReply) error {
+// adminService serves a Controller's lifecycle API as a wire call service
+// (deadlines ride the requests, same contract as the predict/gather
+// services).
+type adminService struct{ ctrl *Controller }
+
+// Call decodes the method byte and the gob request, runs the method and
+// returns the gob-encoded reply.
+func (a adminService) Call(payload []byte) ([]byte, error) {
+	if len(payload) == 0 {
+		return nil, errors.New("serving: empty admin call")
+	}
+	method, body := payload[0], payload[1:]
+	switch method {
+	case adminDeploy:
+		return serveAdmin(body, a.Deploy)
+	case adminUndeploy:
+		return serveAdmin(body, a.Undeploy)
+	case adminStatus:
+		return serveAdmin(body, a.Status)
+	default:
+		return nil, fmt.Errorf("serving: unknown admin method %d", method)
+	}
+}
+
+// serveAdmin runs one admin method over gob-encoded payloads.
+func serveAdmin[Req, Rep any](body []byte, method func(*Req, *Rep) error) ([]byte, error) {
+	var req Req
+	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+		return nil, fmt.Errorf("serving: admin request: %w", err)
+	}
+	var rep Rep
+	if err := method(&req, &rep); err != nil {
+		return nil, err
+	}
+	var out bytes.Buffer
+	if err := gob.NewEncoder(&out).Encode(&rep); err != nil {
+		return nil, fmt.Errorf("serving: admin reply: %w", err)
+	}
+	return out.Bytes(), nil
+}
+
+// Deploy reconstructs the variant from its spec (model weights from
+// Config+Seed, profiling window from Counts) and publishes it into the
+// running frontend.
+func (a adminService) Deploy(req *AdminDeployRequest, reply *AdminDeployReply) error {
 	if err := checkAdminVersion(req.APIVersion); err != nil {
 		return err
 	}
@@ -144,9 +195,9 @@ func (a *adminRPC) Deploy(req *AdminDeployRequest, reply *AdminDeployReply) erro
 	return nil
 }
 
-// Undeploy is the exported RPC method: it drains the variant out of the
-// frontend within the request deadline.
-func (a *adminRPC) Undeploy(req *AdminUndeployRequest, reply *AdminUndeployReply) error {
+// Undeploy drains the variant out of the frontend within the request
+// deadline.
+func (a adminService) Undeploy(req *AdminUndeployRequest, reply *AdminUndeployReply) error {
 	if err := checkAdminVersion(req.APIVersion); err != nil {
 		return err
 	}
@@ -159,8 +210,8 @@ func (a *adminRPC) Undeploy(req *AdminUndeployRequest, reply *AdminUndeployReply
 	return nil
 }
 
-// Status is the exported RPC method.
-func (a *adminRPC) Status(req *AdminStatusRequest, reply *AdminStatusReply) error {
+// Status snapshots one variant, or all of them when req.Model is empty.
+func (a adminService) Status(req *AdminStatusRequest, reply *AdminStatusReply) error {
 	if err := checkAdminVersion(req.APIVersion); err != nil {
 		return err
 	}
@@ -177,24 +228,41 @@ func (a *adminRPC) Status(req *AdminStatusRequest, reply *AdminStatusReply) erro
 }
 
 // AdminClient drives a remote frontend's control plane. Every call stamps
-// AdminAPIVersion and the context deadline onto the wire and follows the
-// rpcGo cancel contract.
+// AdminAPIVersion and the context deadline onto the request; a canceled
+// context unblocks the caller at once, and the abandoned call's reply is
+// decoded into private storage and dropped, never into the caller's.
 type AdminClient struct {
-	client *rpc.Client
-	name   string
+	conn *wire.Conn
 }
 
 // DialAdmin connects to the admin service exported alongside the predict
-// frontend registered under frontend at addr (see AdminServiceName).
-// Admin traffic rides the gob codec — the sniffing listener serves it
-// beside binary predict connections — and the dial is bounded by
-// DialTimeout like every other transport dial.
+// frontend registered under frontend at addr (see AdminServiceName). The
+// dial is bounded by DialTimeout like every other transport dial.
 func DialAdmin(addr, frontend string) (*AdminClient, error) {
-	c, err := dialGob(addr)
+	c, err := wire.Dial(addr, AdminServiceName(frontend), wire.KindCall, DialTimeout)
 	if err != nil {
 		return nil, err
 	}
-	return &AdminClient{client: c, name: AdminServiceName(frontend)}, nil
+	return &AdminClient{conn: c}, nil
+}
+
+// adminCall issues one admin method call: the method byte plus the
+// gob-encoded request out, the gob-encoded reply back into reply.
+func adminCall[Rep any](ctx context.Context, c *wire.Conn, method byte, req any, reply *Rep) error {
+	var body bytes.Buffer
+	body.WriteByte(method)
+	if err := gob.NewEncoder(&body).Encode(req); err != nil {
+		return fmt.Errorf("serving: admin request: %w", err)
+	}
+	var inner Rep
+	err := c.Call(ctx,
+		func(b []byte) []byte { return append(b, body.Bytes()...) },
+		func(p []byte) error { return gob.NewDecoder(bytes.NewReader(p)).Decode(&inner) })
+	if err != nil {
+		return err
+	}
+	*reply = inner
+	return nil
 }
 
 // Deploy builds and publishes a variant on the remote frontend.
@@ -202,14 +270,14 @@ func (c *AdminClient) Deploy(ctx context.Context, req *AdminDeployRequest, reply
 	stamped := *req
 	stamped.APIVersion = AdminAPIVersion
 	stamped.Deadline = ctxDeadlineNanos(ctx)
-	return rpcGo(ctx, c.client, c.name+".Deploy", &stamped, reply)
+	return adminCall(ctx, c.conn, adminDeploy, &stamped, reply)
 }
 
 // Undeploy drains a variant out of the remote frontend.
 func (c *AdminClient) Undeploy(ctx context.Context, mdl string) (AdminUndeployReply, error) {
 	req := &AdminUndeployRequest{APIVersion: AdminAPIVersion, Model: mdl, Deadline: ctxDeadlineNanos(ctx)}
 	var reply AdminUndeployReply
-	err := rpcGo(ctx, c.client, c.name+".Undeploy", req, &reply)
+	err := adminCall(ctx, c.conn, adminUndeploy, req, &reply)
 	return reply, err
 }
 
@@ -217,11 +285,11 @@ func (c *AdminClient) Undeploy(ctx context.Context, mdl string) (AdminUndeployRe
 func (c *AdminClient) Status(ctx context.Context, mdl string) ([]ModelStatus, error) {
 	req := &AdminStatusRequest{APIVersion: AdminAPIVersion, Model: mdl, Deadline: ctxDeadlineNanos(ctx)}
 	var reply AdminStatusReply
-	if err := rpcGo(ctx, c.client, c.name+".Status", req, &reply); err != nil {
+	if err := adminCall(ctx, c.conn, adminStatus, req, &reply); err != nil {
 		return nil, err
 	}
 	return reply.Models, nil
 }
 
 // Close tears down the connection.
-func (c *AdminClient) Close() error { return c.client.Close() }
+func (c *AdminClient) Close() error { return c.conn.Close() }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -62,10 +63,18 @@ func (o *BatcherOptions) defaults() {
 	}
 }
 
-// pendingPredict is one caller's request waiting in the batch queue.
+// pendingPredict is one caller's request waiting in the batch queue. It
+// follows the pull pool's task contract (pool.go): a caller whose context
+// expires abandons it with a pending→abandoned CAS and only then returns;
+// the dispatcher claims it with a pending→running CAS before reading req
+// and drops abandoned ones unread; once it is running, the caller waits
+// for done no matter what. The wire server recycles a request's arrays as
+// soon as Predict returns, so req must never be read after that.
 type pendingPredict struct {
 	req      *PredictRequest
+	inputs   int   // req.BatchSize, recorded at enqueue for the collector
 	deadline int64 // caller's ctx deadline in unix nanos (0 = none)
+	state    atomic.Int32
 	probs    []float32
 	done     chan error
 }
@@ -133,11 +142,11 @@ func (b *Batcher) Options() BatcherOptions { return b.opts }
 func (b *Batcher) Model() string { return b.model }
 
 // Predict enqueues the request and blocks until its inputs have been
-// scored inside some fused batch, or until ctx is done. Safe for
-// concurrent use; the request is read-only until Predict returns. A
-// caller abandoning on ctx does not cancel the fused batch — its
-// batchmates still complete (the done channel is buffered, so the
-// dispatcher never blocks on an abandoned caller).
+// scored inside some fused batch, or until ctx is done while the request
+// is still queued. Safe for concurrent use; the request is read-only
+// until Predict returns, and never read after. A caller abandoning on ctx
+// drops only its own request — its batchmates still complete — and a
+// caller whose batch is already running waits for it.
 func (b *Batcher) Predict(ctx context.Context, req *PredictRequest, reply *PredictReply) error {
 	// Per-request validation happens before enqueue: a bad request is
 	// bounced here and never contaminates a fused batch.
@@ -153,7 +162,7 @@ func (b *Batcher) Predict(ctx context.Context, req *PredictRequest, reply *Predi
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	p := &pendingPredict{req: req, deadline: ctxDeadlineNanos(ctx), done: make(chan error, 1)}
+	p := &pendingPredict{req: req, inputs: req.BatchSize, deadline: ctxDeadlineNanos(ctx), done: make(chan error, 1)}
 	b.mu.RLock()
 	if b.closed {
 		b.mu.RUnlock()
@@ -162,16 +171,20 @@ func (b *Batcher) Predict(ctx context.Context, req *PredictRequest, reply *Predi
 	b.reqs <- p
 	b.mu.RUnlock()
 	b.Requests.Inc(1)
+	var err error
 	select {
-	case err := <-p.done:
-		if err != nil {
-			return err
-		}
-		reply.Probs = p.probs
-		return nil
+	case err = <-p.done:
 	case <-ctx.Done():
-		return ctx.Err()
+		if p.state.CompareAndSwap(taskPending, taskAbandoned) {
+			return ctx.Err()
+		}
+		err = <-p.done
 	}
+	if err != nil {
+		return err
+	}
+	reply.Probs = p.probs
+	return nil
 }
 
 var _ PredictClient = (*Batcher)(nil)
@@ -187,7 +200,7 @@ func (b *Batcher) collect() {
 			return
 		}
 		batch := []*pendingPredict{first}
-		total := first.req.BatchSize
+		total := first.inputs
 		closing := false
 		solo := false
 		timer := time.NewTimer(b.opts.MaxDelay)
@@ -215,7 +228,7 @@ func (b *Batcher) collect() {
 						closing = true
 					} else {
 						batch = append(batch, p)
-						total += p.req.BatchSize
+						total += p.inputs
 					}
 				case <-grace.C:
 					solo = true
@@ -233,7 +246,7 @@ func (b *Batcher) collect() {
 						break fill
 					}
 					batch = append(batch, p)
-					total += p.req.BatchSize
+					total += p.inputs
 				case <-timer.C:
 					break fill
 				}
@@ -245,11 +258,11 @@ func (b *Batcher) collect() {
 		b.Batches.Inc(1)
 		b.slots <- struct{}{} // backpressure beyond MaxInFlight
 		b.wg.Add(1)
-		go func(batch []*pendingPredict, total int) {
+		go func() {
 			defer b.wg.Done()
-			b.dispatch(batch, total)
+			b.dispatch(batch)
 			<-b.slots
-		}(batch, total)
+		}()
 		if closing {
 			return
 		}
@@ -274,8 +287,21 @@ func batchContext(batch []*pendingPredict) (context.Context, context.CancelFunc)
 	return deadlineContext(earliest)
 }
 
-// dispatch runs one fused batch against the backend and demuxes results.
-func (b *Batcher) dispatch(batch []*pendingPredict, total int) {
+// dispatch claims the batch's still-pending requests, runs them as one
+// fused batch against the backend and demuxes results. Requests abandoned
+// while queued are dropped unread.
+func (b *Batcher) dispatch(queued []*pendingPredict) {
+	batch := queued[:0]
+	total := 0
+	for _, p := range queued {
+		if p.state.CompareAndSwap(taskPending, taskRunning) {
+			batch = append(batch, p)
+			total += p.inputs
+		}
+	}
+	if len(batch) == 0 {
+		return
+	}
 	ctx, cancel := batchContext(batch)
 	defer cancel()
 	if len(batch) == 1 {
@@ -305,8 +331,8 @@ func (b *Batcher) dispatch(batch []*pendingPredict, total int) {
 	}
 	base := 0
 	for _, p := range batch {
-		p.probs = reply.Probs[base : base+p.req.BatchSize]
-		base += p.req.BatchSize
+		p.probs = reply.Probs[base : base+p.inputs]
+		base += p.inputs
 		p.done <- nil
 	}
 }

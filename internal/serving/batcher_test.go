@@ -624,3 +624,90 @@ func TestBatcherHonorsTightestCallerDeadline(t *testing.T) {
 		t.Fatal("permissive batchmate succeeded; expected the earliest-deadline bound to fail the fused call")
 	}
 }
+
+// gatedBackend is a recordingBackend whose calls block until gate closes.
+type gatedBackend struct {
+	recordingBackend
+	gate chan struct{}
+}
+
+func (g *gatedBackend) Predict(ctx context.Context, req *PredictRequest, reply *PredictReply) error {
+	<-g.gate
+	return g.recordingBackend.Predict(ctx, req, reply)
+}
+
+// TestBatcherAbandonedRequestNeverRead fuses one abandoned and one live
+// request into a batch that cannot start (MaxInFlight 1, the only slot
+// held by a gated batch). The abandoned caller returns on its context and
+// its request is then recycled, exactly as the wire server does after
+// Predict returns; the batch must run without reading it and still score
+// the live request.
+func TestBatcherAbandonedRequestNeverRead(t *testing.T) {
+	backend := &gatedBackend{gate: make(chan struct{})}
+	b := NewBatcher(backend, batcherConfig(), BatcherOptions{
+		MaxBatch:    2,
+		MaxDelay:    time.Minute,
+		SoloGrace:   time.Minute, // no solo dispatch: batches fill to MaxBatch
+		MaxInFlight: 1,
+	})
+	defer b.Close()
+
+	// A two-input request fills a batch by itself and takes the only slot.
+	blocker := &PredictRequest{
+		BatchSize: 2,
+		DenseDim:  1,
+		Dense:     []float32{0.1, 0.2},
+		Tables:    []TableBatch{{Indices: []int64{0, 1}, Offsets: []int32{0, 1}}},
+	}
+	errs := make(chan error, 2)
+	go func() {
+		var reply PredictReply
+		errs <- b.Predict(bg, blocker, &reply)
+	}()
+	waitFor(t, func() bool { return b.Batches.Value() == 1 })
+
+	abandoned := singleInputRequest(0.3)
+	ctx, cancel := context.WithCancel(bg)
+	abandonedErr := make(chan error, 1)
+	go func() {
+		var reply PredictReply
+		abandonedErr <- b.Predict(ctx, abandoned, &reply)
+	}()
+	waitFor(t, func() bool { return b.Requests.Value() == 2 })
+	live := singleInputRequest(0.4)
+	var liveReply PredictReply
+	go func() { errs <- b.Predict(bg, live, &liveReply) }()
+	// The abandoned and live requests are fused; the collector now waits
+	// for the slot.
+	waitFor(t, func() bool { return b.Batches.Value() == 2 })
+
+	cancel()
+	if err := <-abandonedErr; err != context.Canceled {
+		t.Fatalf("abandoned Predict = %v, want context.Canceled", err)
+	}
+	abandoned.Tables = nil // recycled by its owner
+	close(backend.gate)
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(liveReply.Probs) != 1 || liveReply.Probs[0] != 0.4 {
+		t.Fatalf("live reply = %v, want [0.4]", liveReply.Probs)
+	}
+	if got := backend.batchSizes(); len(got) != 2 || got[1] != 1 {
+		t.Fatalf("backend batch sizes = %v, want [2 1] (abandoned request dropped)", got)
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 5s.
+func waitFor(t *testing.T, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal("condition not reached within 5s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

@@ -78,7 +78,8 @@ type ModelStatus struct {
 	// (one entry per replica pool) — the signal the queue-depth
 	// autoscaler scales on, surfaced so operators can see a hot shard
 	// building backlog before it sheds. Added fields ride the versioned
-	// gob admin RPC without a version bump (absent on old peers).
+	// admin calls' gob payloads without a version bump (absent on old
+	// peers).
 	Queues []ShardQueueStatus
 }
 

@@ -39,12 +39,11 @@ type DenseShard struct {
 	// reply itself.
 	scratch sync.Pool
 
-	// gatherRows switches Predict to the v2 rows-mode fan-out (dedup +
-	// raw-row gathers, see predictRows); rowCache is its optional
-	// frontend hot-row cache (nil = disabled). Both are set once at build
-	// time, before the shard serves traffic.
-	gatherRows bool
-	rowCache   *rowCache
+	// rowCache is the frontend hot-row cache; non-nil switches Predict
+	// to the v2 rows-mode fan-out (dedup + cache + raw-row gathers, see
+	// predictRows). Set once at build time, before the shard serves
+	// traffic.
+	rowCache *rowCache
 
 	Latency *metrics.LatencyRecorder
 	QPS     *metrics.QPSMeter
@@ -180,7 +179,7 @@ func (d *DenseShard) Predict(ctx context.Context, req *PredictRequest, reply *Pr
 	if got := canonicalModel(req.Model); got != d.model {
 		return fmt.Errorf("serving: request for model %q reached dense shard serving %q", got, d.model)
 	}
-	if d.gatherRows && d.rowsModeFits(req) {
+	if d.rowCache != nil && d.rowsModeFits(req) {
 		return d.predictRows(ctx, req, reply, start)
 	}
 	bs := req.BatchSize
@@ -342,9 +341,8 @@ func (d *DenseShard) Predict(ctx context.Context, req *PredictRequest, reply *Pr
 
 	// Merge per-table partial sums (pooling is additive) into one scratch
 	// backing, returning every reply buffer to the shared wire pool. On
-	// the binary transport the reply rows were decoded into that pool —
-	// float32 either way, even when the wire encoding was int8-quantized —
-	// so local and remote gathers recycle identically.
+	// the TCP transport the reply rows were decoded into that pool, so
+	// local and remote gathers recycle identically.
 	dim := d.cfg.EmbeddingDim
 	if cap(sc.pooled) < nt*bs*dim {
 		sc.pooled = make([]float32, nt*bs*dim)

@@ -91,7 +91,7 @@ func (s *EmbeddingShard) ParamBytes() int64 { return s.table.SizeBytes() }
 
 // Gather services one bucketized gather-and-pool request. It satisfies
 // GatherClient, so a shard can be called directly (in-process transport)
-// or registered with net/rpc. A context canceled before the gather starts
+// or registered on an RPCServer. A context canceled before the gather starts
 // aborts the call without touching the utility counters, which is what
 // lets the dense shard cancel straggler gathers after a sibling failure.
 func (s *EmbeddingShard) Gather(ctx context.Context, req *GatherRequest, reply *GatherReply) error {
@@ -101,7 +101,7 @@ func (s *EmbeddingShard) Gather(ctx context.Context, req *GatherRequest, reply *
 	}
 	if len(req.Offsets) == 0 {
 		// Rows mode (gather path v2): one raw row per index, no pooling.
-		// This is the local/gob transport's analogue of AppendGatherRows.
+		// This is the in-process analogue of AppendGatherRows.
 		n := len(req.Indices)
 		dim := s.table.Dim
 		out := wire.GetFloat32(n * dim)
@@ -148,19 +148,19 @@ func (s *EmbeddingShard) Gather(ctx context.Context, req *GatherRequest, reply *
 // the shard's sorted-table storage into the connection's reply frame, so
 // the per-call float32 Matrix copy disappears entirely. Metrics and
 // validation mirror Gather.
-func (s *EmbeddingShard) AppendGatherRows(ctx context.Context, req *wire.GatherRequest, frame []byte, enc byte) ([]byte, error) {
+func (s *EmbeddingShard) AppendGatherRows(ctx context.Context, req *wire.GatherRequest, frame []byte) ([]byte, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
 		return frame, fmt.Errorf("serving: shard t%d s%d: %w", s.TableIndex, s.ShardIndex, err)
 	}
 	dim := s.table.Dim
-	frame = wire.AppendGatherReplyHeader(frame, len(req.Indices), dim, enc)
+	frame = wire.AppendGatherReplyHeader(frame, len(req.Indices), dim)
 	for _, idx := range req.Indices {
 		row, err := s.table.Vector(idx)
 		if err != nil {
 			return frame, fmt.Errorf("serving: shard t%d s%d: %w", s.TableIndex, s.ShardIndex, err)
 		}
-		frame = wire.AppendGatherRow(frame, row, enc)
+		frame = wire.AppendGatherRow(frame, row)
 	}
 	s.Utility.TouchAll(req.Indices)
 	s.Latency.Observe(time.Since(start))
@@ -174,7 +174,7 @@ var _ wire.RowSource = (*EmbeddingShard)(nil)
 // Gather-reply buffers recycle through the wire package's shared float32
 // pool: on the in-process transport the same backing array cycles
 // shard → dense merge → pool → shard; on TCP the server-side copy is
-// consumed by the binary codec (and recycled there after the write),
+// consumed by the wire codec (and recycled there after the write),
 // while the client-side decoded buffer returns to the same pool after the
 // merge. One pool for all of it keeps the working set tight across
 // transports.

@@ -1,10 +1,11 @@
 package serving
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"fmt"
 	"math"
-	"net/rpc"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/embedding"
 	"repro/internal/model"
+	"repro/internal/serving/wire"
 )
 
 // This file is the model-lifecycle acceptance suite (run under -race via
@@ -331,16 +333,28 @@ func TestLifecycleAdminRPC(t *testing.T) {
 	}
 	defer predict.Close()
 
-	// A request from a different control-plane generation is refused.
-	raw, err := rpc.Dial("tcp", addr)
+	// A request from a different control-plane generation is refused: a
+	// raw admin call frame carrying a foreign APIVersion.
+	raw, err := wire.Dial(addr, AdminServiceName("Frontend"), wire.KindCall, DialTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	var verReply AdminStatusReply
-	err = raw.Call(AdminServiceName("Frontend")+".Status", &AdminStatusRequest{APIVersion: 99}, &verReply)
-	if err == nil || !strings.Contains(err.Error(), "version 99 not supported") {
+	rawCall := func(method byte) error {
+		var body bytes.Buffer
+		body.WriteByte(method)
+		if err := gob.NewEncoder(&body).Encode(&AdminStatusRequest{APIVersion: 99}); err != nil {
+			t.Fatal(err)
+		}
+		return raw.Call(bg,
+			func(b []byte) []byte { return append(b, body.Bytes()...) },
+			func([]byte) error { return nil })
+	}
+	if err := rawCall(adminStatus); err == nil || !strings.Contains(err.Error(), "version 99 not supported") {
 		t.Fatalf("foreign API version error = %v", err)
+	}
+	if err := rawCall(0x7f); err == nil || !strings.Contains(err.Error(), "unknown admin method") {
+		t.Fatalf("unknown admin method error = %v", err)
 	}
 
 	sts, err := admin.Status(bg, "")

@@ -341,8 +341,8 @@ type BuildCounters struct {
 	// miss counts on the dense fan-out, entries evicted (budget pressure
 	// or epoch staleness), entries installed by publish-time seeding, and
 	// the cache's current byte footprint. All zero when the cache is off.
-	// Like every field here, they ride the versioned gob admin RPC without
-	// a version bump (absent on old peers).
+	// Like every field here, they ride the versioned admin calls' gob
+	// payloads without a version bump (absent on old peers).
 	RowCacheHits    int64
 	RowCacheMisses  int64
 	RowCacheEvicted int64

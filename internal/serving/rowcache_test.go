@@ -69,7 +69,9 @@ func TestGatherRowsDedupMultiplicity(t *testing.T) {
 	m, stats, _ := buildFixture(t, cfg)
 	mono := NewMonolith(m.Clone())
 	for _, opts := range []BuildOptions{
-		{Transport: TransportLocal, GatherRows: true},
+		// A one-byte budget caches nothing: every unique row takes the
+		// rows-mode fan-out.
+		{Transport: TransportLocal, RowCacheBytes: 1},
 		{Transport: TransportLocal, RowCacheBytes: 1 << 18},
 	} {
 		ld, err := BuildElastic(m.Clone(), stats, []int64{50, 200, cfg.RowsPerTable}, opts)

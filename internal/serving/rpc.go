@@ -3,10 +3,8 @@ package serving
 import (
 	"context"
 	"fmt"
-	"io"
 	"log"
 	"net"
-	"net/rpc"
 	"sync"
 	"time"
 
@@ -16,24 +14,20 @@ import (
 // This file provides the loopback-TCP transport. Every shard can be
 // exported as a network service (the stand-in for the paper's C++ gRPC
 // layer) and consumed through a GatherClient/PredictClient that dials it.
-// One listener speaks two codecs: the binary framed protocol
-// (internal/serving/wire — the hot path: no reflection, pooled buffers,
-// pipelined sticky connections) and net/rpc gob (the legacy codec, still
-// carrying the admin control plane and any pre-wire clients). The codec
-// is negotiated at accept time by sniffing the first four bytes of the
-// connection: the wire magic routes to the framed server, anything else
-// replays into gob.
+// Every connection speaks the binary framed protocol
+// (internal/serving/wire: no reflection, pooled buffers, pipelined sticky
+// connections); the admin control plane rides the same listener as call
+// frames (admin.go). A connection that does not open with the wire magic
+// is closed.
 
-// DialTimeout bounds every transport dial (TCP connect plus, for the
-// binary codec, the handshake), so a hung shard address fails pool
-// construction promptly instead of blocking it forever.
+// DialTimeout bounds every transport dial (TCP connect plus the
+// handshake), so a hung shard address fails pool construction promptly
+// instead of blocking it forever.
 const DialTimeout = 5 * time.Second
 
-// RPCServer hosts one or more shard services on a TCP listener, serving
-// each accepted connection in whichever codec the client opens with.
+// RPCServer hosts one or more shard services on a TCP listener.
 type RPCServer struct {
 	listener net.Listener
-	server   *rpc.Server
 	mu       sync.Mutex
 	conns    map[net.Conn]struct{}
 	done     chan struct{}
@@ -50,7 +44,6 @@ func NewRPCServer(addr string) (*RPCServer, error) {
 	}
 	s := &RPCServer{
 		listener:  ln,
-		server:    rpc.NewServer(),
 		conns:     make(map[net.Conn]struct{}),
 		done:      make(chan struct{}),
 		endpoints: make(map[string]wire.Endpoint),
@@ -62,67 +55,41 @@ func NewRPCServer(addr string) (*RPCServer, error) {
 // Addr returns the listener's address for clients to dial.
 func (s *RPCServer) Addr() string { return s.listener.Addr().String() }
 
-// GatherWireOptions selects the per-service gather-reply encoding on the
-// binary codec (gob replies are unaffected; these are wire encodings, not
-// service changes). At most one of Quant/FP16 may be set.
-type GatherWireOptions struct {
-	Quant bool // int8-quantized rows
-	FP16  bool // half-precision rows
-}
-
-// RegisterGather exposes a gather service under name on both codecs.
+// RegisterGather exposes a gather service under name. If svc also
+// implements wire.RowSource, rows-mode gathers take the zero-copy encode
+// path.
 func (s *RPCServer) RegisterGather(name string, svc GatherClient) error {
-	return s.RegisterGatherWire(name, svc, GatherWireOptions{})
-}
-
-// RegisterQuantGather is RegisterGather with the int8-quantized
-// gather-reply encoding on the binary codec.
-func (s *RPCServer) RegisterQuantGather(name string, svc GatherClient) error {
-	return s.RegisterGatherWire(name, svc, GatherWireOptions{Quant: true})
-}
-
-// RegisterGatherWire is RegisterGather with explicit wire options. If svc
-// also implements wire.RowSource, rows-mode gathers on the binary codec
-// take the zero-copy encode path.
-func (s *RPCServer) RegisterGatherWire(name string, svc GatherClient, opts GatherWireOptions) error {
-	if opts.Quant && opts.FP16 {
-		return fmt.Errorf("serving: service %q: quant and fp16 wire encodings are mutually exclusive", name)
-	}
-	if err := s.server.RegisterName(name, &gatherRPC{svc: svc}); err != nil {
-		return err
-	}
-	ep := wire.Endpoint{Gather: svc, Quant: opts.Quant, FP16: opts.FP16}
+	ep := wire.Endpoint{Gather: svc}
 	if rs, ok := svc.(wire.RowSource); ok {
 		ep.Rows = rs
 	}
-	s.epMu.Lock()
-	s.endpoints[name] = ep
-	s.epMu.Unlock()
-	return nil
+	return s.register(name, ep)
 }
 
-// RegisterPredict exposes a predict service under name on both codecs.
+// RegisterPredict exposes a predict service under name.
 func (s *RPCServer) RegisterPredict(name string, svc PredictClient) error {
-	if err := s.server.RegisterName(name, &predictRPC{svc: svc}); err != nil {
-		return err
-	}
-	s.epMu.Lock()
-	s.endpoints[name] = wire.Endpoint{Predict: svc}
-	s.epMu.Unlock()
-	return nil
+	return s.register(name, wire.Endpoint{Predict: svc})
 }
 
 // RegisterAdmin exposes a deployment's lifecycle control plane under name
 // (conventionally AdminServiceName(frontend), so the admin endpoint rides
-// the same listener as the predict traffic it administers). Admin traffic
-// stays on the gob codec: it is low-rate control-plane work, and the
-// sniffing accept loop gives it passthrough alongside binary predict
-// connections for free.
+// the same listener as the predict traffic it administers).
 func (s *RPCServer) RegisterAdmin(name string, ctrl *Controller) error {
-	return s.server.RegisterName(name, &adminRPC{ctrl: ctrl})
+	return s.register(name, wire.Endpoint{Call: adminService{ctrl: ctrl}})
 }
 
-// resolve maps a binary preamble to a registered endpoint.
+// register adds an endpoint, refusing a name that is already taken.
+func (s *RPCServer) register(name string, ep wire.Endpoint) error {
+	s.epMu.Lock()
+	defer s.epMu.Unlock()
+	if _, dup := s.endpoints[name]; dup {
+		return fmt.Errorf("serving: service %q already registered", name)
+	}
+	s.endpoints[name] = ep
+	return nil
+}
+
+// resolve maps a preamble to a registered endpoint.
 func (s *RPCServer) resolve(kind byte, name string) (wire.Endpoint, error) {
 	s.epMu.RLock()
 	ep, ok := s.endpoints[name]
@@ -138,6 +105,10 @@ func (s *RPCServer) resolve(kind byte, name string) (wire.Endpoint, error) {
 	case wire.KindPredict:
 		if ep.Predict == nil {
 			return wire.Endpoint{}, fmt.Errorf("serving: service %q is not a predict service", name)
+		}
+	case wire.KindCall:
+		if ep.Call == nil {
+			return wire.Endpoint{}, fmt.Errorf("serving: service %q is not a call service", name)
 		}
 	default:
 		return wire.Endpoint{}, fmt.Errorf("serving: unknown connection kind %d", kind)
@@ -164,45 +135,13 @@ func (s *RPCServer) acceptLoop() {
 		s.conns[conn] = struct{}{}
 		s.mu.Unlock()
 		go func() {
-			s.serveConn(conn)
+			wire.ServeConn(conn, s.resolve)
 			_ = conn.Close()
 			s.mu.Lock()
 			delete(s.conns, conn)
 			s.mu.Unlock()
 		}()
 	}
-}
-
-// serveConn sniffs the codec from the connection's first four bytes and
-// serves it: the wire magic selects the binary framed protocol, anything
-// else (a gob type descriptor never starts with the magic's first byte)
-// replays the sniffed bytes into net/rpc.
-func (s *RPCServer) serveConn(conn net.Conn) {
-	var first [4]byte
-	if _, err := io.ReadFull(conn, first[:]); err != nil {
-		return
-	}
-	if first == wire.Magic {
-		wire.ServeConn(conn, s.resolve)
-		return
-	}
-	s.server.ServeConn(&sniffedConn{Conn: conn, prefix: first[:]})
-}
-
-// sniffedConn replays sniffed bytes ahead of the remaining stream.
-type sniffedConn struct {
-	net.Conn
-	prefix []byte
-}
-
-// Read drains the replay prefix before the live connection.
-func (c *sniffedConn) Read(p []byte) (int, error) {
-	if len(c.prefix) > 0 {
-		n := copy(p, c.prefix)
-		c.prefix = c.prefix[n:]
-		return n, nil
-	}
-	return c.Conn.Read(p)
 }
 
 // Close stops the listener and all live connections.
@@ -217,37 +156,15 @@ func (s *RPCServer) Close() error {
 	return err
 }
 
-// gatherRPC adapts a GatherClient to net/rpc's method signature. net/rpc
-// methods carry no context, so the caller's deadline rides in the request
-// (GatherRequest.Deadline) and is reconstructed here.
-type gatherRPC struct{ svc GatherClient }
-
-// Gather is the exported RPC method.
-func (g *gatherRPC) Gather(req *GatherRequest, reply *GatherReply) error {
-	ctx, cancel := deadlineContext(req.Deadline)
-	defer cancel()
-	return g.svc.Gather(ctx, req, reply)
-}
-
-// predictRPC adapts a PredictClient to net/rpc's method signature.
-type predictRPC struct{ svc PredictClient }
-
-// Predict is the exported RPC method.
-func (p *predictRPC) Predict(req *PredictRequest, reply *PredictReply) error {
-	ctx, cancel := deadlineContext(req.Deadline)
-	defer cancel()
-	return p.svc.Predict(ctx, req, reply)
-}
-
-// RPCGatherClient calls a remote gather service over the binary framed
-// codec: one sticky pipelined connection, any number of concurrent calls.
+// RPCGatherClient calls a remote gather service: one sticky pipelined
+// connection, any number of concurrent calls.
 type RPCGatherClient struct {
 	conn *wire.Conn
 }
 
 // DialGather connects to a gather service registered under name at addr,
-// negotiating the binary codec (and failing fast on an unregistered name
-// or a hung address — the dial and handshake are bounded by DialTimeout).
+// failing fast on an unregistered name or a hung address (the dial and
+// handshake are bounded by DialTimeout).
 func DialGather(addr, name string) (*RPCGatherClient, error) {
 	c, err := wire.Dial(addr, name, wire.KindGather, DialTimeout)
 	if err != nil {
@@ -258,9 +175,9 @@ func DialGather(addr, name string) (*RPCGatherClient, error) {
 
 // Gather implements GatherClient over the wire: the context deadline is
 // stamped onto the request (copy-on-write, the caller's request is never
-// mutated) and the call follows the rpcGo cancel contract — a canceled
-// context unblocks the caller immediately, and the abandoned call's
-// eventual reply decodes into a private struct the reader discards.
+// mutated). A canceled context unblocks the caller immediately, and the
+// abandoned call's eventual reply decodes into a private struct the
+// reader discards.
 func (c *RPCGatherClient) Gather(ctx context.Context, req *GatherRequest, reply *GatherReply) error {
 	if dl := ctxDeadlineNanos(ctx); dl != 0 && dl != req.Deadline {
 		stamped := *req
@@ -283,14 +200,14 @@ func (c *RPCGatherClient) Close() error { return c.conn.Close() }
 
 var _ GatherClient = (*RPCGatherClient)(nil)
 
-// RPCPredictClient calls a remote predict service over the binary framed
-// codec (same pipelining and cancel contract as RPCGatherClient).
+// RPCPredictClient calls a remote predict service (same pipelining and
+// cancel contract as RPCGatherClient).
 type RPCPredictClient struct {
 	conn *wire.Conn
 }
 
 // DialPredict connects to a predict service registered under name at
-// addr over the binary codec (see DialGather).
+// addr (see DialGather).
 func DialPredict(addr, name string) (*RPCPredictClient, error) {
 	c, err := wire.Dial(addr, name, wire.KindPredict, DialTimeout)
 	if err != nil {
@@ -322,99 +239,3 @@ func (c *RPCPredictClient) Predict(ctx context.Context, req *PredictRequest, rep
 func (c *RPCPredictClient) Close() error { return c.conn.Close() }
 
 var _ PredictClient = (*RPCPredictClient)(nil)
-
-// dialGob dials a net/rpc gob connection with the same bound as the
-// binary codec's dial.
-func dialGob(addr string) (*rpc.Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, DialTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("serving: rpc dial %s: %w", addr, err)
-	}
-	return rpc.NewClient(conn), nil
-}
-
-// rpcGo issues one net/rpc call with context cancellation: a canceled
-// context unblocks the caller immediately, while the in-flight RPC's
-// eventual reply lands in a private struct and is discarded — an
-// abandoned call can never race a reply the caller has moved on from.
-func rpcGo[Rep any](ctx context.Context, client *rpc.Client, method string, req any, reply *Rep) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	var inner Rep
-	call := client.Go(method, req, &inner, make(chan *rpc.Call, 1))
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case done := <-call.Done:
-		if done.Error != nil {
-			return done.Error
-		}
-		*reply = inner
-		return nil
-	}
-}
-
-// GobGatherClient calls a remote gather service over the legacy net/rpc
-// gob codec. The binary codec (DialGather) is the default everywhere; gob
-// clients remain for mixed-fleet interop and as the benchmark baseline
-// the wire codec is measured against.
-type GobGatherClient struct {
-	client *rpc.Client
-	method string
-}
-
-// DialGatherGob connects to a gather service over the gob codec.
-func DialGatherGob(addr, name string) (*GobGatherClient, error) {
-	c, err := dialGob(addr)
-	if err != nil {
-		return nil, err
-	}
-	return &GobGatherClient{client: c, method: name + ".Gather"}, nil
-}
-
-// Gather implements GatherClient over gob (rpcGo cancel contract).
-func (c *GobGatherClient) Gather(ctx context.Context, req *GatherRequest, reply *GatherReply) error {
-	if dl := ctxDeadlineNanos(ctx); dl != 0 && dl != req.Deadline {
-		stamped := *req
-		stamped.Deadline = dl
-		req = &stamped
-	}
-	return rpcGo(ctx, c.client, c.method, req, reply)
-}
-
-// Close tears down the connection.
-func (c *GobGatherClient) Close() error { return c.client.Close() }
-
-var _ GatherClient = (*GobGatherClient)(nil)
-
-// GobPredictClient calls a remote predict service over the legacy gob
-// codec (see GobGatherClient).
-type GobPredictClient struct {
-	client *rpc.Client
-	method string
-}
-
-// DialPredictGob connects to a predict service over the gob codec.
-func DialPredictGob(addr, name string) (*GobPredictClient, error) {
-	c, err := dialGob(addr)
-	if err != nil {
-		return nil, err
-	}
-	return &GobPredictClient{client: c, method: name + ".Predict"}, nil
-}
-
-// Predict implements PredictClient over gob (rpcGo cancel contract).
-func (c *GobPredictClient) Predict(ctx context.Context, req *PredictRequest, reply *PredictReply) error {
-	if dl := ctxDeadlineNanos(ctx); dl != 0 && dl != req.Deadline {
-		stamped := *req
-		stamped.Deadline = dl
-		req = &stamped
-	}
-	return rpcGo(ctx, c.client, c.method, req, reply)
-}
-
-// Close tears down the connection.
-func (c *GobPredictClient) Close() error { return c.client.Close() }
-
-var _ PredictClient = (*GobPredictClient)(nil)

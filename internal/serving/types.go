@@ -1,7 +1,7 @@
 // Package serving is the live microservice engine: real goroutine-backed
 // model-shard services communicating over loopback TCP (a length-prefixed
-// binary codec by default, net/rpc gob for legacy/admin traffic — see
-// internal/serving/wire) or a zero-copy in-process transport. It
+// binary wire protocol — see internal/serving/wire) or a zero-copy
+// in-process transport. It
 // implements the paper's life-of-a-query path (Sec. IV-A): a dense DNN
 // shard receives the query, bucketizes the sparse inputs, fans gather
 // RPCs out to the embedding shards, merges the pooled partial sums, and
@@ -17,9 +17,8 @@ import (
 )
 
 // The serving messages are defined in internal/serving/wire (the codec
-// cannot depend on this package) and aliased here, so every call site —
-// and the gob transport, which encodes concrete struct shapes, not
-// package paths — is untouched by the move.
+// cannot depend on this package) and aliased here, so every call site is
+// untouched by the move.
 type (
 	// GatherRequest asks an embedding shard to gather-and-pool one batch
 	// (see wire.GatherRequest).

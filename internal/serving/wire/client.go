@@ -15,11 +15,10 @@ import (
 // This file is the client half of the framed transport. A Conn is sticky
 // and pipelined: one TCP connection per (address, service), any number of
 // in-flight calls identified by u64 request IDs, replies completed out of
-// order by a single reader goroutine. Cancellation follows the serving
-// package's rpcGo contract — an abandoned call unblocks its caller
-// immediately, and its eventual reply decodes into a private per-call
-// struct that is discarded, so it can never race state the caller has
-// moved on from.
+// order by a single reader goroutine. Cancellation is abandonment: an
+// abandoned call unblocks its caller immediately, and its eventual reply
+// is dropped by the reader (callers decode into private per-call storage,
+// so a reply can never race state the caller has moved on from).
 //
 // Frame layout (both directions, little-endian):
 //
@@ -34,9 +33,8 @@ import (
 // connection.
 var ErrClosed = errors.New("wire: connection closed")
 
-// ServerError is a service-level failure relayed over the wire, mirroring
-// net/rpc.ServerError so callers can distinguish remote errors from
-// transport ones.
+// ServerError is a service-level failure relayed over the wire, so callers
+// can distinguish remote errors from transport ones.
 type ServerError string
 
 // Error implements the error interface.
@@ -67,9 +65,9 @@ type Conn struct {
 
 // Dial connects to the service registered under name at addr, negotiates
 // the binary codec (magic/version preamble, bounded by timeout along with
-// the TCP dial itself) and starts the reader. kind is KindGather or
-// KindPredict; the server refuses a name not registered for that kind at
-// dial time rather than at first call.
+// the TCP dial itself) and starts the reader. kind is KindGather,
+// KindPredict or KindCall; the server refuses a name not registered for
+// that kind at dial time rather than at first call.
 func Dial(addr, name string, kind byte, timeout time.Duration) (*Conn, error) {
 	if len(name) > MaxName {
 		return nil, fmt.Errorf("wire: service name %q too long", name)
@@ -146,8 +144,15 @@ func (c *Conn) Call(ctx context.Context, encode func([]byte) []byte, decode func
 	b := append(c.wbuf[:0], 0, 0, 0, 0)
 	b = appendU64(b, id)
 	b = encode(b)
-	le.PutUint32(b, uint32(len(b)-4))
 	c.wbuf = b
+	if len(b)-4 > MaxFrame {
+		c.wmu.Unlock()
+		c.mu.Lock()
+		delete(c.pending, id)
+		c.mu.Unlock()
+		return fmt.Errorf("wire: request frame of %d bytes exceeds %d", len(b)-4, MaxFrame)
+	}
+	le.PutUint32(b, uint32(len(b)-4))
 	_, err := c.conn.Write(b)
 	c.wmu.Unlock()
 	if err != nil {

@@ -3,7 +3,6 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 )
 
@@ -21,10 +20,8 @@ import (
 //
 //	GatherRequest  = u32 table | u32 shard | u64 deadline |
 //	                 u32 nIdx | u32 nOff | nIdx × u64 | nOff × u32
-//	GatherReply    = u32 batchSize | u32 dim | u8 enc | rows
-//	                 enc 0: batchSize*dim × f32 (row-major)
-//	                 enc 1: per row, f32 scale | dim × i8
-//	                 enc 2: batchSize*dim × f16 (row-major)
+//	GatherReply    = u32 batchSize | u32 dim | batchSize*dim × f32
+//	                 (row-major)
 //	PredictRequest = u16 modelLen | model | u32 batchSize | u32 denseDim |
 //	                 u64 deadline | u32 nDense | u32 nTables |
 //	                 nDense × f32 | per table (u32 nIdx | u32 nOff |
@@ -43,15 +40,6 @@ type reader struct {
 }
 
 func (r *reader) rem() int { return len(r.data) - r.off }
-
-func (r *reader) u8() (byte, error) {
-	if r.rem() < 1 {
-		return 0, errShort
-	}
-	v := r.data[r.off]
-	r.off++
-	return v, nil
-}
 
 func (r *reader) u16() (int, error) {
 	if r.rem() < 2 {
@@ -101,9 +89,8 @@ func (r *reader) bytes(n int) []byte {
 	return b
 }
 
-func appendU32(b []byte, v int) []byte     { return le.AppendUint32(b, uint32(v)) }
-func appendU64(b []byte, v uint64) []byte  { return le.AppendUint64(b, v) }
-func appendF32(b []byte, v float32) []byte { return le.AppendUint32(b, math.Float32bits(v)) }
+func appendU32(b []byte, v int) []byte    { return le.AppendUint32(b, uint32(v)) }
+func appendU64(b []byte, v uint64) []byte { return le.AppendUint64(b, v) }
 
 func appendFloat32s(b []byte, src []float32) []byte {
 	for _, v := range src {
@@ -192,84 +179,25 @@ func DecodeGatherRequest(data []byte, req *GatherRequest) error {
 	return nil
 }
 
-// AppendGatherReply encodes rep onto b. With quant set the rows ride
-// int8-quantized (one float32 scale per row, value = scale * int8): 4x
-// smaller for dim 32, at ≤ 1/254 of each row's max-magnitude error. The
-// reply is self-describing (the encoding byte), so decoders need no
-// negotiation state.
-func AppendGatherReply(b []byte, rep *GatherReply, quant bool) []byte {
-	enc := EncFloat32
-	if quant {
-		enc = EncInt8
-	}
-	return AppendGatherReplyEnc(b, rep, enc)
-}
-
-// AppendGatherReplyEnc encodes rep onto b with an explicit row encoding
-// (EncFloat32, EncInt8 or EncFloat16).
-func AppendGatherReplyEnc(b []byte, rep *GatherReply, enc byte) []byte {
-	b = AppendGatherReplyHeader(b, rep.BatchSize, rep.Dim, enc)
-	if enc == EncFloat32 {
-		return appendFloat32s(b, rep.Pooled)
-	}
-	dim := rep.Dim
-	for row := 0; row+dim <= len(rep.Pooled); row += dim {
-		b = AppendGatherRow(b, rep.Pooled[row:row+dim], enc)
-	}
-	return b
+// AppendGatherReply encodes rep onto b.
+func AppendGatherReply(b []byte, rep *GatherReply) []byte {
+	b = AppendGatherReplyHeader(b, rep.BatchSize, rep.Dim)
+	return appendFloat32s(b, rep.Pooled)
 }
 
 // AppendGatherReplyHeader opens a gather-reply payload: the fixed header
 // before any rows. Zero-copy servers (RowSource) call this once, then
 // AppendGatherRow per row, encoding straight from storage into the frame.
-func AppendGatherReplyHeader(b []byte, batchSize, dim int, enc byte) []byte {
+func AppendGatherReplyHeader(b []byte, batchSize, dim int) []byte {
 	b = appendU32(b, batchSize)
-	b = appendU32(b, dim)
-	return append(b, enc)
+	return appendU32(b, dim)
 }
 
 // AppendGatherRow encodes one row after an AppendGatherReplyHeader.
-func AppendGatherRow(b []byte, row []float32, enc byte) []byte {
-	switch enc {
-	case EncFloat32:
-		return appendFloat32s(b, row)
-	case EncFloat16:
-		for _, v := range row {
-			b = binary.LittleEndian.AppendUint16(b, f32ToF16(v))
-		}
-		return b
-	default: // EncInt8
-		var maxAbs float32
-		for _, v := range row {
-			if a := float32(math.Abs(float64(v))); a > maxAbs {
-				maxAbs = a
-			}
-		}
-		scale := maxAbs / 127
-		b = appendF32(b, scale)
-		if scale == 0 {
-			for range row {
-				b = append(b, 0)
-			}
-			return b
-		}
-		inv := 1 / scale
-		for _, v := range row {
-			q := int32(math.Round(float64(v) * float64(inv)))
-			if q > 127 {
-				q = 127
-			} else if q < -127 {
-				q = -127
-			}
-			b = append(b, byte(int8(q)))
-		}
-		return b
-	}
-}
+func AppendGatherRow(b []byte, row []float32) []byte { return appendFloat32s(b, row) }
 
-// DecodeGatherReply decodes a gather reply, materializing float32 rows
-// from either encoding into a pooled buffer (recycle with
-// FreeGatherReply or PutFloat32 after merging).
+// DecodeGatherReply decodes a gather reply into a pooled buffer (recycle
+// with FreeGatherReply or PutFloat32 after merging).
 func DecodeGatherReply(data []byte, rep *GatherReply) error {
 	r := reader{data: data}
 	var err error
@@ -279,46 +207,12 @@ func DecodeGatherReply(data []byte, rep *GatherReply) error {
 	if rep.Dim, err = r.u32(); err != nil {
 		return err
 	}
-	enc, err := r.u8()
-	if err != nil {
-		return err
-	}
 	bs, dim := rep.BatchSize, rep.Dim
-	if bs > r.rem() || dim > r.rem() {
+	if bs > r.rem() || dim > r.rem() || bs*dim*4 != r.rem() {
 		return errShort
 	}
-	switch enc {
-	case EncFloat32:
-		if bs*dim*4 != r.rem() {
-			return errShort
-		}
-		rep.Pooled = GetFloat32(bs * dim)
-		decodeFloat32s(r.bytes(bs*dim*4), rep.Pooled)
-	case EncInt8:
-		if bs*(dim+4) != r.rem() {
-			return errShort
-		}
-		rep.Pooled = GetFloat32(bs * dim)
-		for row := 0; row < bs; row++ {
-			scale := math.Float32frombits(le.Uint32(r.bytes(4)))
-			q := r.bytes(dim)
-			dst := rep.Pooled[row*dim : (row+1)*dim]
-			for i := range dst {
-				dst[i] = scale * float32(int8(q[i]))
-			}
-		}
-	case EncFloat16:
-		if bs*dim*2 != r.rem() {
-			return errShort
-		}
-		rep.Pooled = GetFloat32(bs * dim)
-		raw := r.bytes(bs * dim * 2)
-		for i := range rep.Pooled {
-			rep.Pooled[i] = f16ToF32(le.Uint16(raw[2*i:]))
-		}
-	default:
-		return fmt.Errorf("wire: unknown gather-reply encoding %d", enc)
-	}
+	rep.Pooled = GetFloat32(bs * dim)
+	decodeFloat32s(r.bytes(bs*dim*4), rep.Pooled)
 	return nil
 }
 

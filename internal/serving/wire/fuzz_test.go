@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
 
@@ -10,10 +11,7 @@ import (
 //   - no decoder may panic, whatever the input;
 //   - a successful decode means the frame was canonical (the strict
 //     trailing-byte checks), so re-encoding must reproduce the input
-//     byte-for-byte (float32 and float16 encs — binary16 widens exactly
-//     and re-narrows to the same bits, NaN payloads included; int8
-//     requantization is lossy when the stored scale doesn't match the
-//     row maximum);
+//     byte-for-byte;
 //   - decoders must not allocate for element counts the frame cannot
 //     hold, which the re-encode check enforces indirectly: a decoded
 //     message's payload re-encodes to exactly len(input) bytes.
@@ -24,23 +22,26 @@ func FuzzWireCodec(f *testing.F) {
 	}))
 	f.Add(AppendGatherReply(nil, &GatherReply{
 		BatchSize: 2, Dim: 3, Pooled: []float32{1, -2, 3, 0.5, 0, -0.25},
-	}, false))
+	}))
+	// Non-finite rows: the float32 bits, NaN payloads included, must
+	// survive the round trip unchanged.
 	f.Add(AppendGatherReply(nil, &GatherReply{
-		BatchSize: 2, Dim: 2, Pooled: []float32{1, -2, 3, 4},
-	}, true))
-	// Rows-mode request (empty offsets — gather path v2) and a
-	// half-precision reply, plus a zero-copy-encoded rows frame: the
+		BatchSize: 2, Dim: 2, Pooled: []float32{
+			float32(math.Inf(1)), float32(math.Inf(-1)),
+			math.Float32frombits(0x7fc00001), float32(math.Copysign(0, -1)),
+		},
+	}))
+	// Rows-mode request (empty offsets — gather path v2), a degenerate
+	// zero-dim reply, and a zero-copy-encoded rows frame: the
 	// row-at-a-time append path must produce the same canonical bytes as
 	// the whole-reply encoder.
 	f.Add(AppendGatherRequest(nil, &GatherRequest{
 		Table: 1, Shard: 3, Deadline: 42, Indices: []int64{0, 7, 7, 1 << 20},
 	}))
-	f.Add(AppendGatherReplyEnc(nil, &GatherReply{
-		BatchSize: 2, Dim: 3, Pooled: []float32{1, -2, 0.5, 65504, -6.1e-5, 0},
-	}, EncFloat16))
-	zc := AppendGatherReplyHeader(nil, 2, 2, EncFloat16)
-	zc = AppendGatherRow(zc, []float32{0.25, -1}, EncFloat16)
-	zc = AppendGatherRow(zc, []float32{3, 4}, EncFloat16)
+	f.Add(AppendGatherReply(nil, &GatherReply{BatchSize: 3}))
+	zc := AppendGatherReplyHeader(nil, 2, 2)
+	zc = AppendGatherRow(zc, []float32{0.25, -1})
+	zc = AppendGatherRow(zc, []float32{3, 4})
 	f.Add(zc)
 	f.Add(AppendPredictRequest(nil, &PredictRequest{
 		Model: "rm1", BatchSize: 2, DenseDim: 2, Deadline: 7,
@@ -65,10 +66,8 @@ func FuzzWireCodec(f *testing.F) {
 
 		var grep GatherReply
 		if err := DecodeGatherReply(data, &grep); err == nil {
-			if len(data) >= 9 && (data[8] == EncFloat32 || data[8] == EncFloat16) {
-				if out := AppendGatherReplyEnc(nil, &grep, data[8]); !bytes.Equal(out, data) {
-					t.Fatalf("GatherReply not canonical: %x -> %x", data, out)
-				}
+			if out := AppendGatherReply(nil, &grep); !bytes.Equal(out, data) {
+				t.Fatalf("GatherReply not canonical: %x -> %x", data, out)
 			}
 			FreeGatherReply(&grep)
 		}

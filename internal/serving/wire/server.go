@@ -10,50 +10,35 @@ import (
 	"sync"
 )
 
-// This file is the server half of the framed transport. The serving
-// package's RPCServer sniffs each accepted connection's first four bytes:
-// the Magic prefix routes here, anything else replays into net/rpc's gob
-// codec — which is how binary, gob and admin clients coexist on one
-// listener. ServeConn finishes the preamble (version, kind, service
-// name), resolves the endpoint, acks, and then serves frames: requests
-// are decoded serially on the connection's reader (into pooled slices),
-// handled on one goroutine each (so a slow gather never blocks the
-// pipeline behind it), and replies are written under a per-connection
-// write lock with frame buffers recycled after every write.
+// This file is the server half of the framed transport. ServeConn checks
+// the Magic prefix (anything else is hung up on), finishes the preamble
+// (version, kind, service name), resolves the endpoint, acks, and then
+// serves frames: requests are decoded serially on the connection's reader
+// (into pooled slices), handled on one goroutine each (so a slow gather
+// never blocks the pipeline behind it), and replies are written under a
+// per-connection write lock with frame buffers recycled after every
+// write.
 
-// Endpoint is one resolvable service: exactly one of Gather/Predict is
-// set, matching the preamble kind. Quant selects the int8-quantized
-// gather-reply encoding for this service; FP16 the half-precision one
-// (at most one of the two). Rows, when non-nil, is the zero-copy fast
-// path for rows-mode gathers: the service encodes rows straight into the
-// reply frame, skipping the intermediate GatherReply materialization.
+// Endpoint is one resolvable service: exactly one of Gather/Predict/Call
+// is set, matching the preamble kind. Rows, when non-nil, is the
+// zero-copy fast path for rows-mode gathers: the service encodes rows
+// straight into the reply frame, skipping the intermediate GatherReply
+// materialization.
 type Endpoint struct {
 	Gather  GatherService
 	Predict PredictService
+	Call    CallService
 	Rows    RowSource
-	Quant   bool
-	FP16    bool
-}
-
-// encoding returns the gather-row wire encoding this endpoint serves.
-func (ep *Endpoint) encoding() byte {
-	switch {
-	case ep.Quant:
-		return EncInt8
-	case ep.FP16:
-		return EncFloat16
-	default:
-		return EncFloat32
-	}
 }
 
 // Resolver maps a preamble's (kind, service name) to an endpoint; an
 // error refuses the connection in the ack.
 type Resolver func(kind byte, name string) (Endpoint, error)
 
-// ServeConn serves one sniffed binary connection whose Magic prefix has
-// already been consumed. It blocks until the client hangs up or a
-// transport error occurs, and does not close conn — the caller owns it.
+// ServeConn serves one accepted connection. It returns at once if the
+// connection does not open with Magic, and otherwise blocks until the
+// client hangs up or a transport error occurs. It does not close conn —
+// the caller owns it.
 func ServeConn(conn net.Conn, resolve Resolver) {
 	ep, err := handshake(conn, resolve)
 	if err != nil {
@@ -62,8 +47,15 @@ func ServeConn(conn net.Conn, resolve Resolver) {
 	serveFrames(conn, ep)
 }
 
-// handshake finishes the preamble and writes the ack.
+// handshake reads the preamble and writes the ack.
 func handshake(conn net.Conn, resolve Resolver) (Endpoint, error) {
+	var magic [4]byte
+	if _, err := io.ReadFull(conn, magic[:]); err != nil {
+		return Endpoint{}, err
+	}
+	if magic != Magic {
+		return Endpoint{}, errors.New("wire: connection does not open with the protocol magic")
+	}
 	var hdr [4]byte // version, kind, u16 nameLen
 	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
 		return Endpoint{}, err
@@ -160,6 +152,15 @@ func serveFrames(conn net.Conn, ep Endpoint) {
 				defer wg.Done()
 				handlePredict(conn, &wmu, ep, id, &req)
 			}()
+		case ep.Call != nil:
+			// Call payloads are opaque, so the service gets its own copy
+			// of the frame the next iteration overwrites.
+			req := append([]byte(nil), payload...)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				handleCall(conn, &wmu, ep, id, req)
+			}()
 		default:
 			return // unreachable: the resolver vets the endpoint
 		}
@@ -176,7 +177,7 @@ func handleGather(conn net.Conn, wmu *sync.Mutex, ep Endpoint, id uint64, req *G
 		// storage into the reply frame — no intermediate float32 copy.
 		b := GetBuf(64 + len(req.Indices)*256) // capacity hint: dim-64 f32 rows
 		b = beginReply(b, id)
-		b, err := ep.Rows.AppendGatherRows(ctx, req, b, ep.encoding())
+		b, err := ep.Rows.AppendGatherRows(ctx, req, b)
 		cancel()
 		FreeGatherRequest(req)
 		if err != nil {
@@ -197,7 +198,7 @@ func handleGather(conn net.Conn, wmu *sync.Mutex, ep Endpoint, id uint64, req *G
 	}
 	b := GetBuf(64 + 4*len(reply.Pooled))
 	b = beginReply(b, id)
-	b = AppendGatherReplyEnc(b, &reply, ep.encoding())
+	b = AppendGatherReply(b, &reply)
 	FreeGatherReply(&reply)
 	finishReply(conn, wmu, b)
 }
@@ -216,6 +217,19 @@ func handlePredict(conn net.Conn, wmu *sync.Mutex, ep Endpoint, id uint64, req *
 	b := GetBuf(64 + 4*len(reply.Probs))
 	b = beginReply(b, id)
 	b = AppendPredictReply(b, &reply)
+	finishReply(conn, wmu, b)
+}
+
+// handleCall services one call frame end to end.
+func handleCall(conn net.Conn, wmu *sync.Mutex, ep Endpoint, id uint64, req []byte) {
+	out, err := ep.Call.Call(req)
+	if err != nil {
+		writeErrorReply(conn, wmu, id, err)
+		return
+	}
+	b := GetBuf(16 + len(out))
+	b = beginReply(b, id)
+	b = append(b, out...)
 	finishReply(conn, wmu, b)
 }
 

@@ -1,13 +1,12 @@
-// Package wire is the serving plane's binary wire protocol: a
+// Package wire is the serving plane's one wire protocol: a
 // length-prefixed, little-endian codec for the four predict/gather
 // messages (raw []float32/[]int64/[]int32 payloads, no reflection) plus
 // the framed-TCP transport that carries it — a magic/version preamble
 // negotiated at dial time, pipelined request IDs with out-of-order
-// completion on sticky connections, per-connection pooled buffers, and an
-// optional int8-quantized encoding of gather rows. It replaces net/rpc's
-// gob encoding on the hot path; package serving keeps gob alongside it on
-// the same listener (connections are sniffed by the magic bytes), so
-// admin traffic and legacy clients interoperate with binary ones.
+// completion on sticky connections, and per-connection pooled buffers.
+// Besides gather and predict connections, a third kind carries opaque
+// call frames (payload bytes in, payload bytes out), which is how
+// package serving puts its admin control plane on the same listener.
 package wire
 
 import (
@@ -18,15 +17,13 @@ import (
 	"repro/internal/embedding"
 )
 
-// Magic opens every binary-protocol connection. The first byte can never
-// begin a net/rpc gob stream (gob's length prefixes are either < 0x80 or
-// a byte-count marker ≥ 0xf8), so a server can sniff the first four bytes
-// of an accepted connection and route it to the right codec.
+// Magic opens every connection; a server closes any connection that
+// opens with anything else.
 var Magic = [4]byte{0xf5, 'E', 'R', 'W'}
 
 // Version is the protocol generation carried in the preamble; servers
 // reject a mismatch instead of misinterpreting frames.
-const Version = 1
+const Version = 2
 
 // Connection kinds named in the preamble.
 const (
@@ -34,22 +31,8 @@ const (
 	KindGather byte = 1
 	// KindPredict connects to a predict service.
 	KindPredict byte = 2
-)
-
-// GatherReply payload encodings (the reply is self-describing, so clients
-// need no negotiation state).
-const (
-	// EncFloat32 is the exact encoding: BatchSize*Dim raw float32s.
-	EncFloat32 byte = 0
-	// EncInt8 is the quantized encoding: per row, one float32 scale
-	// followed by Dim int8s (value = scale * int8). Lossy; enabled per
-	// service via BuildOptions.WireQuant.
-	EncInt8 byte = 1
-	// EncFloat16 is the half-precision encoding: BatchSize*Dim IEEE 754
-	// binary16 values (round-to-nearest-even on encode, exact widening on
-	// decode; decoders always materialize float32). Lossy; enabled per
-	// service via BuildOptions.WireFP16.
-	EncFloat16 byte = 2
+	// KindCall connects to a call service (opaque payloads).
+	KindCall byte = 3
 )
 
 // MaxFrame bounds a frame body. A decoder rejects anything larger before
@@ -81,9 +64,7 @@ type GatherRequest struct {
 }
 
 // GatherReply carries the pooled partial sums: BatchSize rows of Dim
-// float32s, row-major. On the binary transport the row payload may ride
-// int8-quantized (EncInt8); the decoder always materializes float32s, so
-// consumers never see the wire encoding.
+// float32s, row-major, exact on every transport.
 type GatherReply struct {
 	BatchSize int
 	Dim       int
@@ -161,16 +142,24 @@ type PredictService interface {
 	Predict(ctx context.Context, req *PredictRequest, reply *PredictReply) error
 }
 
+// CallService is the server-side endpoint for KindCall connections: one
+// request payload in, one reply payload out. The transport does not
+// interpret either; the payload is the service's own to keep. An error
+// is relayed to the caller as a ServerError.
+type CallService interface {
+	Call(payload []byte) ([]byte, error)
+}
+
 // RowSource is the optional zero-copy fast path for rows-mode gathers
 // (len(req.Offsets) == 0): the service encodes one row per index straight
 // from its storage onto frame — an open reply frame positioned at the
-// payload — using enc (EncFloat32, EncInt8 or EncFloat16), and returns
-// the extended buffer. The transport skips the intermediate GatherReply
-// materialization (and its float32 copy) entirely. Implementations must
-// validate indices and honor ctx exactly as their Gather method does;
-// on error the returned buffer is discarded and an error reply is sent.
+// payload — and returns the extended buffer. The transport skips the
+// intermediate GatherReply materialization (and its float32 copy)
+// entirely. Implementations must validate indices and honor ctx exactly
+// as their Gather method does; on error the returned buffer is discarded
+// and an error reply is sent.
 type RowSource interface {
-	AppendGatherRows(ctx context.Context, req *GatherRequest, frame []byte, enc byte) ([]byte, error)
+	AppendGatherRows(ctx context.Context, req *GatherRequest, frame []byte) ([]byte, error)
 }
 
 // CtxDeadlineNanos converts a context deadline to the wire encoding

@@ -3,42 +3,45 @@ package serving
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"net/rpc"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/serving/wire"
 )
 
 // TestMixedTransportClients serves one multi-model frontend and drives it
-// with a binary framed client and a legacy gob client at the same time,
-// over the same listener. Both must score identically to the variants'
-// monoliths, and the gob-speaking admin client must keep working beside
-// them — the codec-sniffing accept loop's interop contract.
+// with two predict clients at the same time, over the same listener, while
+// the admin client shares that listener too. Both predict clients must
+// score identically to the variants' monoliths, and admin calls must keep
+// working beside them.
 func TestMixedTransportClients(t *testing.T) {
 	md, monos, reqs := multiFixture(t, BuildOptions{}, BuildOptions{})
 	addr, err := md.ExportPredict("Frontend")
 	if err != nil {
 		t.Fatal(err)
 	}
-	bin, err := DialPredict(addr, "Frontend")
-	if err != nil {
-		t.Fatal(err)
+	clients := map[string]PredictClient{}
+	for _, cname := range []string{"first", "second"} {
+		c, err := DialPredict(addr, "Frontend")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		clients[cname] = c
 	}
-	defer bin.Close()
-	gob, err := DialPredictGob(addr, "Frontend")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gob.Close()
 	admin, err := DialAdmin(addr, "Frontend")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer admin.Close()
 
-	clients := map[string]PredictClient{"binary": bin, "gob": gob}
 	var wg sync.WaitGroup
-	errCh := make(chan error, len(clients))
+	errCh := make(chan error, len(clients)+1)
 	for cname, client := range clients {
 		wg.Add(1)
 		go func() {
@@ -64,152 +67,100 @@ func TestMixedTransportClients(t *testing.T) {
 			}
 		}()
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 4; i++ {
+			st, err := admin.Status(bg, "")
+			if err != nil {
+				errCh <- fmt.Errorf("admin over shared listener: %w", err)
+				return
+			}
+			if len(st) != 2 {
+				errCh <- fmt.Errorf("admin status models = %d, want 2", len(st))
+				return
+			}
+		}
+	}()
 	wg.Wait()
 	close(errCh)
 	for err := range errCh {
 		t.Fatal(err)
 	}
+}
 
-	st, err := admin.Status(bg, "")
+// TestNonMagicConnectionClosed checks the listener speaks one protocol: a
+// client that does not open with the wire magic (here a net/rpc gob
+// client) gets an error promptly instead of hanging, binary clients on
+// the same listener keep being served, and a second registration under
+// a taken name fails.
+func TestNonMagicConnectionClosed(t *testing.T) {
+	srv, err := NewRPCServer("127.0.0.1:0")
 	if err != nil {
-		t.Fatalf("admin over shared listener: %v", err)
+		t.Fatal(err)
 	}
-	if len(st) != 2 {
-		t.Fatalf("admin status models = %d, want 2", len(st))
+	defer srv.Close()
+	if err := srv.RegisterPredict("Slow", slowPredict{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.RegisterPredict("Slow", slowPredict{}); err == nil {
+		t.Fatal("duplicate predict registration accepted")
+	}
+	if err := srv.RegisterGather("Slow", nopGather{}); err == nil {
+		t.Fatal("gather registration under a predict service's name accepted")
+	}
+	client, err := DialPredict(srv.Addr(), "Slow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	gob, err := rpc.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gob.Close()
+	done := make(chan error, 1)
+	go func() {
+		var reply PredictReply
+		done <- gob.Call("Slow.Predict", &PredictRequest{BatchSize: 1, DenseDim: 1, Dense: []float32{1}}, &reply)
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("gob call on the binary listener succeeded")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("gob call on the binary listener hung")
+	}
+
+	var ok PredictReply
+	if err := client.Predict(bg, &PredictRequest{BatchSize: 1, DenseDim: 1, Dense: []float32{1}}, &ok); err != nil {
+		t.Fatalf("binary client after a rejected connection: %v", err)
+	}
+	if len(ok.Probs) != 1 || ok.Probs[0] != 1 {
+		t.Fatalf("binary reply = %v", ok.Probs)
 	}
 }
 
-// TestWireGobCodecOption builds a TCP deployment whose shard gathers ride
-// the legacy gob codec (BuildOptions.WireCodec) and checks monolith
-// equivalence — the opt-out path must stay bit-exact.
-func TestWireGobCodecOption(t *testing.T) {
-	cfg := liveConfig()
-	m, stats, gen := buildFixture(t, cfg)
-	mono := NewMonolith(m.Clone())
-	ld, err := BuildElastic(m, stats, []int64{50, 200, cfg.RowsPerTable},
-		BuildOptions{Transport: TransportTCP, WireCodec: WireGob})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ld.Close()
-	for i := 0; i < 16; i++ {
-		req := makeRequest(cfg, gen, uint64(1000+i))
-		var got, want PredictReply
-		if err := ld.Predict(bg, req, &got); err != nil {
-			t.Fatal(err)
-		}
-		if err := mono.Predict(bg, req, &want); err != nil {
-			t.Fatal(err)
-		}
-		for j := range want.Probs {
-			if math.Abs(float64(got.Probs[j]-want.Probs[j])) > 1e-5 {
-				t.Fatalf("req %d input %d: gob-wire %v != monolith %v", i, j, got.Probs[j], want.Probs[j])
-			}
-		}
-	}
-
-	if _, err := BuildElastic(m.Clone(), stats, []int64{50, 200, cfg.RowsPerTable},
-		BuildOptions{Transport: TransportTCP, WireCodec: WireCodec("xdr")}); err == nil {
-		t.Fatal("unknown wire codec accepted")
-	}
-}
-
-// TestWireQuantPredictAccuracy builds twin TCP deployments — one with the
-// int8-quantized gather encoding, one float32 — and checks every
-// prediction agrees within 1e-2 (the acceptance bound: per-row
-// quantization error is <= maxabs/254 per element before the MLPs).
-func TestWireQuantPredictAccuracy(t *testing.T) {
-	cfg := liveConfig()
-	m, stats, gen := buildFixture(t, cfg)
-	exact, err := BuildElastic(m, stats, []int64{50, 200, cfg.RowsPerTable},
-		BuildOptions{Transport: TransportTCP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer exact.Close()
-	quant, err := BuildElastic(m.Clone(), stats, []int64{50, 200, cfg.RowsPerTable},
-		BuildOptions{Transport: TransportTCP, WireQuant: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer quant.Close()
-	for i := 0; i < 24; i++ {
-		req := makeRequest(cfg, gen, uint64(2000+i))
-		var got, want PredictReply
-		if err := quant.Predict(bg, req, &got); err != nil {
-			t.Fatal(err)
-		}
-		if err := exact.Predict(bg, req, &want); err != nil {
-			t.Fatal(err)
-		}
-		for j := range want.Probs {
-			if math.Abs(float64(got.Probs[j]-want.Probs[j])) > 1e-2 {
-				t.Fatalf("req %d input %d: quantized %v drifted from float32 %v", i, j, got.Probs[j], want.Probs[j])
-			}
-		}
-	}
-}
-
-// TestWireFP16PredictAccuracy builds twin TCP deployments — one with the
-// half-precision gather-reply encoding, one float32 — and checks every
-// prediction agrees within 1e-2: binary16 keeps ~3 decimal digits per
-// element, and the pooled sums average the per-row rounding out before
-// the MLPs. The fp16 variant also runs gather path v2 with the hot-row
-// cache on, so fp16 frames, rows-mode requests and the zero-copy reply
-// encoder are all exercised on one wire.
-func TestWireFP16PredictAccuracy(t *testing.T) {
-	cfg := liveConfig()
-	m, stats, gen := buildFixture(t, cfg)
-	exact, err := BuildElastic(m, stats, []int64{50, 200, cfg.RowsPerTable},
-		BuildOptions{Transport: TransportTCP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer exact.Close()
-	half, err := BuildElastic(m.Clone(), stats, []int64{50, 200, cfg.RowsPerTable},
-		BuildOptions{Transport: TransportTCP, WireFP16: true, RowCacheBytes: 1 << 19})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer half.Close()
-	for i := 0; i < 24; i++ {
-		req := makeRequest(cfg, gen, uint64(3000+i))
-		var got, want PredictReply
-		if err := half.Predict(bg, req, &got); err != nil {
-			t.Fatal(err)
-		}
-		if err := exact.Predict(bg, req, &want); err != nil {
-			t.Fatal(err)
-		}
-		for j := range want.Probs {
-			if math.Abs(float64(got.Probs[j]-want.Probs[j])) > 1e-2 {
-				t.Fatalf("req %d input %d: fp16 %v drifted from float32 %v", i, j, got.Probs[j], want.Probs[j])
-			}
-		}
-	}
-	if _, err := BuildElastic(m.Clone(), stats, []int64{50, 200, cfg.RowsPerTable},
-		BuildOptions{Transport: TransportTCP, WireQuant: true, WireFP16: true}); err == nil {
-		t.Fatal("WireQuant+WireFP16 accepted; the encodings are mutually exclusive")
-	}
-}
-
-// TestGatherRowsOverTCP runs gather path v2 (rows-mode requests, shard-
-// side zero-copy reply encoding) over the binary TCP transport at full
-// float32 precision: raw rows ride the wire exactly, and the frontend
-// re-expansion accumulates in the monolith's order, so the 1e-5
-// equivalence bound of the v1 path must hold unchanged.
+// TestGatherRowsOverTCP runs gather path v2 (rows-mode requests, the
+// hot-row cache, shard-side zero-copy reply encoding) over TCP: raw rows
+// ride the wire exactly, and the frontend re-expansion accumulates in the
+// monolith's order, so the 1e-5 equivalence bound of the v1 path must
+// hold unchanged. The cache budget is small enough that both cache hits
+// and wire-fetched misses occur.
 func TestGatherRowsOverTCP(t *testing.T) {
 	cfg := liveConfig()
 	cfg.NumTables = 2 // fewer sockets
 	m, stats, gen := buildFixture(t, cfg)
 	mono := NewMonolith(m.Clone())
 	ld, err := BuildElastic(m, stats, []int64{50, cfg.RowsPerTable},
-		BuildOptions{Transport: TransportTCP, GatherRows: true})
+		BuildOptions{Transport: TransportTCP, RowCacheBytes: 4 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ld.Close()
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 24; i++ {
 		req := makeRequest(cfg, gen, uint64(4000+i))
 		var got, want PredictReply
 		if err := ld.Predict(bg, req, &got); err != nil {
@@ -223,6 +174,9 @@ func TestGatherRowsOverTCP(t *testing.T) {
 				t.Fatalf("req %d input %d: rows-mode TCP %v != monolith %v", i, j, got.Probs[j], want.Probs[j])
 			}
 		}
+	}
+	if bc := ld.BuildCounters(); bc.RowCacheHits == 0 || bc.RowCacheMisses == 0 {
+		t.Fatalf("row cache hits=%d misses=%d, want both > 0", bc.RowCacheHits, bc.RowCacheMisses)
 	}
 }
 
@@ -285,7 +239,7 @@ func TestWirePipelinedOutOfOrder(t *testing.T) {
 }
 
 // TestWireCancelAbandonsCall cancels a call mid-flight and checks the
-// rpcGo contract carries over: the caller gets ctx.Err() promptly, the
+// abandonment contract: the caller gets ctx.Err() promptly, the
 // late reply is discarded without racing anyone, and the connection stays
 // usable for subsequent calls.
 func TestWireCancelAbandonsCall(t *testing.T) {
@@ -303,13 +257,18 @@ func TestWireCancelAbandonsCall(t *testing.T) {
 	}
 	defer client.Close()
 
-	ctx, cancel := context.WithTimeout(bg, 30*time.Millisecond)
+	// Cancel rather than time out: a deadline would ride the wire, and the
+	// server's reply to its own expired context could then race the
+	// client's timer. The server sleeps 1.5 s, well inside the 3 s wire
+	// deadline, so its late reply lands after the caller has gone.
+	ctx, cancel := context.WithTimeout(bg, 3*time.Second)
 	defer cancel()
+	time.AfterFunc(30*time.Millisecond, cancel)
 	var abandoned PredictReply
-	req := &PredictRequest{BatchSize: 1, DenseDim: 1, Dense: []float32{2000}}
+	req := &PredictRequest{BatchSize: 1, DenseDim: 1, Dense: []float32{1500}}
 	start := time.Now()
 	err = client.Predict(ctx, req, &abandoned)
-	if !errors.Is(err, context.DeadlineExceeded) {
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled call returned %v", err)
 	}
 	if time.Since(start) > time.Second {
@@ -322,5 +281,40 @@ func TestWireCancelAbandonsCall(t *testing.T) {
 	}
 	if len(ok.Probs) != 1 || ok.Probs[0] != 1 {
 		t.Fatalf("post-cancel reply = %v", ok.Probs)
+	}
+}
+
+// TestWireRejectsOversizedRequest checks a request frame past
+// wire.MaxFrame fails on the client with an error instead of being sent
+// (the server would drop the connection, failing every call on it), and
+// the connection stays usable.
+func TestWireRejectsOversizedRequest(t *testing.T) {
+	srv, err := NewRPCServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if err := srv.RegisterPredict("Slow", slowPredict{}); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := wire.Dial(srv.Addr(), "Slow", wire.KindPredict, DialTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	err = conn.Call(bg,
+		func(b []byte) []byte { return append(b, make([]byte, wire.MaxFrame)...) },
+		func([]byte) error { return nil })
+	if err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("oversized request error = %v", err)
+	}
+	var ok PredictReply
+	err = conn.Call(bg,
+		func(b []byte) []byte {
+			return wire.AppendPredictRequest(b, &PredictRequest{BatchSize: 1, DenseDim: 1, Dense: []float32{1}})
+		},
+		func(p []byte) error { return wire.DecodePredictReply(p, &ok) })
+	if err != nil || len(ok.Probs) != 1 || ok.Probs[0] != 1 {
+		t.Fatalf("call after a rejected oversized request: %v, %v", ok.Probs, err)
 	}
 }
