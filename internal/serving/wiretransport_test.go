@@ -143,6 +143,50 @@ func TestNonMagicConnectionClosed(t *testing.T) {
 	}
 }
 
+// TestWireRowsPredictAccuracy builds twin TCP deployments of the same
+// three-tier plan — one on gather path v2 with the hot-row cache on, one
+// on the v1 pooled path — and checks every prediction agrees within 1e-5:
+// rows-mode requests, cache hits and the zero-copy reply encoder all run
+// on one wire, and raw float32 rows re-expanded in the monolith's order
+// must pool to the same sums the shards pool on the v1 path.
+func TestWireRowsPredictAccuracy(t *testing.T) {
+	cfg := liveConfig()
+	m, stats, gen := buildFixture(t, cfg)
+	pooled, err := BuildElastic(m, stats, []int64{50, 200, cfg.RowsPerTable},
+		BuildOptions{Transport: TransportTCP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pooled.Close()
+	rows, err := BuildElastic(m.Clone(), stats, []int64{50, 200, cfg.RowsPerTable},
+		BuildOptions{Transport: TransportTCP, RowCacheBytes: 16 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	for i := 0; i < 24; i++ {
+		req := makeRequest(cfg, gen, uint64(3000+i))
+		var got, want PredictReply
+		if err := rows.Predict(bg, req, &got); err != nil {
+			t.Fatal(err)
+		}
+		if err := pooled.Predict(bg, req, &want); err != nil {
+			t.Fatal(err)
+		}
+		for j := range want.Probs {
+			if math.Abs(float64(got.Probs[j]-want.Probs[j])) > 1e-5 {
+				t.Fatalf("req %d input %d: rows path %v != pooled path %v", i, j, got.Probs[j], want.Probs[j])
+			}
+		}
+	}
+	if bc := rows.BuildCounters(); bc.RowCacheHits == 0 || bc.RowCacheMisses == 0 {
+		t.Fatalf("row cache hits=%d misses=%d, want both > 0", bc.RowCacheHits, bc.RowCacheMisses)
+	}
+	if bc := pooled.BuildCounters(); bc.RowCacheHits != 0 || bc.RowCacheMisses != 0 {
+		t.Fatalf("cache-off deployment counted row cache hits=%d misses=%d", bc.RowCacheHits, bc.RowCacheMisses)
+	}
+}
+
 // TestGatherRowsOverTCP runs gather path v2 (rows-mode requests, the
 // hot-row cache, shard-side zero-copy reply encoding) over TCP: raw rows
 // ride the wire exactly, and the frontend re-expansion accumulates in the
